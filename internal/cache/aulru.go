@@ -35,6 +35,7 @@ type AULRU struct {
 	gate      RefreshGate
 	// refreshing guards against duplicate concurrent refreshes per key.
 	refreshing map[string]bool
+	gens       writeGens // bumped under mu; see FillTicket
 
 	hits      int64
 	misses    int64
@@ -122,25 +123,29 @@ func (c *AULRU) Get(key string) ([]byte, bool) {
 		(c.gate == nil || c.gate(key))
 	e.hot = true
 	val := e.value
+	var ticket uint64
 	if needRefresh {
 		c.refreshing[key] = true
+		ticket = c.gens.of(key).Load()
 	}
 	c.mu.Unlock()
 
 	if needRefresh {
-		c.refresh(key)
+		c.refresh(key, ticket)
 	}
 	return val, true
 }
 
-// refresh re-fetches key and renews its TTL.
-func (c *AULRU) refresh(key string) {
+// refresh re-fetches key and renews its TTL. Like a Fill, the fetched
+// value is dropped if a write touched key's stripe after ticket was
+// taken; that write left the entry current or removed it.
+func (c *AULRU) refresh(key string, ticket uint64) {
 	fresh, ok := c.refresher(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.refreshing, key)
 	el, present := c.items[key]
-	if !present {
+	if !present || !c.gens.of(key).CompareAndSwap(ticket, ticket+1) {
 		return
 	}
 	if !ok {
@@ -161,16 +166,42 @@ func (c *AULRU) refresh(key string) {
 	}
 }
 
-// Put inserts or updates key with a fresh TTL.
+// Put inserts or updates key with a fresh TTL. A value larger than the
+// capacity is not cached, and drops the key's now-stale entry.
 func (c *AULRU) Put(key string, value []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gens.of(key).Add(1)
+	c.putLocked(key, value)
+}
+
+// FillTicket returns key's write generation. A caller that reads a
+// value from the origin to cache it takes the ticket before the read
+// and hands it to Fill.
+func (c *AULRU) FillTicket(key string) uint64 { return c.gens.of(key).Load() }
+
+// Fill caches value, read from the origin after FillTicket returned
+// ticket, unless a Put, Update, Delete or Fill of a key in the same
+// stripe has finished since then: that write may be newer than value.
+// It reports whether value was cached.
+func (c *AULRU) Fill(key string, value []byte, ticket uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.gens.of(key).CompareAndSwap(ticket, ticket+1) {
+		return false
+	}
+	c.putLocked(key, value)
+	return true
+}
+
+// +locked:c.mu
+func (c *AULRU) putLocked(key string, value []byte) {
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
 	size := int64(len(key) + len(value))
 	if size > c.capacity {
 		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
 	}
 	e := &auEntry{key: key, value: value, expireAt: c.clk.Now().Add(c.ttl)}
 	el := c.ll.PushFront(e)
@@ -188,6 +219,9 @@ func (c *AULRU) Put(key string, value []byte) {
 func (c *AULRU) Update(key string, value []byte) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Bumped even when key is absent: a fill in flight read the value
+	// this write replaced.
+	c.gens.of(key).Add(1)
 	el, ok := c.items[key]
 	if !ok {
 		return false
@@ -214,6 +248,7 @@ func (c *AULRU) Update(key string, value []byte) bool {
 func (c *AULRU) Delete(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gens.of(key).Add(1)
 	if el, ok := c.items[key]; ok {
 		c.removeElement(el)
 	}

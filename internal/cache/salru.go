@@ -14,6 +14,7 @@ type SALRU struct {
 	used     int64
 	classes  []*sizeClass
 	items    map[string]*list.Element
+	gens     writeGens // bumped under mu; see FillTicket
 
 	hits   int64
 	misses int64
@@ -86,17 +87,42 @@ func (c *SALRU) Get(key string) ([]byte, bool) {
 	return e.value, true
 }
 
-// Put inserts or updates key. Values larger than the total capacity are
-// not cached.
+// Put inserts or updates key. A value larger than the total capacity is
+// not cached, and drops the key's now-stale entry.
 func (c *SALRU) Put(key string, value []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gens.of(key).Add(1)
+	c.putLocked(key, value)
+}
+
+// FillTicket returns key's write generation. A caller that reads a
+// value from the origin to cache it takes the ticket before the read
+// and hands it to Fill.
+func (c *SALRU) FillTicket(key string) uint64 { return c.gens.of(key).Load() }
+
+// Fill caches value, read from the origin after FillTicket returned
+// ticket, unless a Put, Delete or Fill of a key in the same stripe has
+// finished since then: that write may be newer than value. It reports
+// whether value was cached.
+func (c *SALRU) Fill(key string, value []byte, ticket uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.gens.of(key).CompareAndSwap(ticket, ticket+1) {
+		return false
+	}
+	c.putLocked(key, value)
+	return true
+}
+
+// +locked:c.mu
+func (c *SALRU) putLocked(key string, value []byte) {
+	if el, ok := c.items[key]; ok {
+		c.removeElement(el)
+	}
 	size := int64(len(key) + len(value))
 	if size > c.capacity {
 		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
 	}
 	cls := classFor(len(value))
 	e := &saEntry{key: key, value: value, class: cls}
@@ -113,6 +139,7 @@ func (c *SALRU) Put(key string, value []byte) {
 func (c *SALRU) Delete(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gens.of(key).Add(1)
 	if el, ok := c.items[key]; ok {
 		c.removeElement(el)
 	}

@@ -186,6 +186,8 @@ func (n *Node) MultiGet(ctx context.Context, groups []GetBatch) []BatchResult {
 				if vals[k].CacheHit {
 					continue
 				}
+				ck := cacheKey(pid, key)
+				ticket := n.cache.FillTicket(ck) // see Node.Get
 				got, err := rep.db.Get(key)
 				reads := got.IOReads
 				if reads < 1 {
@@ -200,10 +202,13 @@ func (n *Node) MultiGet(ctx context.Context, groups []GetBatch) []BatchResult {
 					}
 					continue
 				}
+				if n.beforeFill != nil {
+					n.beforeFill()
+				}
 				// TTL-bearing values stay uncached: the SA-LRU has no
 				// per-entry expiry (see Node.Get).
 				if got.ExpireAt == 0 {
-					n.cache.Put(cacheKey(pid, key), got.Value)
+					n.cache.Fill(ck, got.Value, ticket)
 				}
 				vals[k].Value = got.Value
 				vals[k].ExpireAt = got.ExpireAt

@@ -298,6 +298,10 @@ type Node struct {
 	svcEWMA atomic.Uint64
 	// shedTotal counts requests shed by deadline-aware admission.
 	shedTotal metrics.Counter
+
+	// beforeFill, when set by a test, runs in a read's I/O stage
+	// between the engine read and the SA-LRU fill.
+	beforeFill func()
 }
 
 // New starts a DataNode.

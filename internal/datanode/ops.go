@@ -94,6 +94,9 @@ func (n *Node) Get(ctx context.Context, pid partition.ID, key []byte) (OpResult,
 		return true // miss: proceed to the I/O layer
 	}
 	task.IOStage = func() {
+		// The ticket orders the fill below against writes that commit
+		// and write through while this read is in flight.
+		ticket := n.cache.FillTicket(ck)
 		got, err := rep.db.Get(key)
 		reads := got.IOReads
 		if reads < 1 {
@@ -108,12 +111,15 @@ func (n *Node) Get(ctx context.Context, pid partition.ID, key []byte) (OpResult,
 			}
 			return
 		}
+		if n.beforeFill != nil {
+			n.beforeFill()
+		}
 		// The SA-LRU has no per-entry expiry, so caching a TTL-bearing
 		// value would keep serving it after the record expires — point
 		// reads would then disagree with Scan/Keys, which consult the
 		// engine. TTL'd values stay uncached.
 		if got.ExpireAt == 0 {
-			n.cache.Put(ck, got.Value)
+			n.cache.Fill(ck, got.Value, ticket)
 		}
 		res = outcome{val: got.Value, exp: got.ExpireAt}
 	}

@@ -1,7 +1,5 @@
 package lavastore
 
-import "hash/fnv"
-
 // bloomFilter is a classic Bloom filter with double hashing, sized at
 // 10 bits per key (≈1% false-positive rate with 7 probes).
 type bloomFilter struct {
@@ -30,10 +28,20 @@ func newBloomFilter(nkeys int) *bloomFilter {
 	}
 }
 
+// bloomHash splits key's 64-bit FNV-1a hash into the two halves the
+// probes combine. It is hash/fnv's New64a computed inline, without a
+// hasher allocation; filters already on disk depend on it staying
+// bit-identical.
 func bloomHash(key []byte) (uint32, uint32) {
-	h := fnv.New64a()
-	h.Write(key)
-	v := h.Sum64()
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	v := uint64(offset64)
+	for _, c := range key {
+		v ^= uint64(c)
+		v *= prime64
+	}
 	return uint32(v), uint32(v >> 32)
 }
 

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abase/internal/clock"
@@ -93,7 +94,7 @@ type DB struct {
 
 	flushes        int64
 	compactions    int64
-	getIOReads     int64
+	getIOReads     atomic.Int64 // bumped by readers without db.mu
 	expiredDropped int64
 }
 
@@ -305,7 +306,11 @@ func (db *DB) write(key []byte, r record, ttl time.Duration) (uint64, error) {
 	if ttl > 0 {
 		r.ExpireAt = expireAt(db.opt.Clock.Now(), ttl)
 	}
-	rec := encodeRecord(r)
+	// One allocation holds the memtable's copy of the key and the
+	// encoded record, as in writeBatch's arena.
+	buf := append(make([]byte, 0, len(key)+recordBound(r)), key...)
+	buf = appendRecord(buf, r)
+	mkey, rec := buf[:len(key):len(key)], buf[len(key):]
 	if err := db.wal.Append(key, rec); err != nil {
 		db.mu.Unlock()
 		return 0, err
@@ -317,7 +322,7 @@ func (db *DB) write(key []byte, r record, ttl time.Duration) (uint64, error) {
 		}
 	}
 	db.walBytes += int64(len(key) + len(rec) + 16)
-	db.mem.Put(append([]byte(nil), key...), rec)
+	db.mem.Put(mkey, rec)
 	seq := r.Seq
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
@@ -443,44 +448,48 @@ type GetResult struct {
 // Get returns the value stored under key. Expired and deleted keys
 // return ErrNotFound. The returned value is a copy.
 func (db *DB) Get(key []byte) (GetResult, error) {
+	rec, ioReads, err := db.lookup(key)
+	if ioReads > 0 {
+		db.getIOReads.Add(int64(ioReads))
+	}
+	if err != nil {
+		return GetResult{IOReads: ioReads}, err
+	}
+	return db.finishGet(rec, ioReads, db.opt.Clock.Now().Unix())
+}
+
+// lookup finds the newest raw record for key across the memtable,
+// immutable memtables newest-first, and SSTables newest-first. It
+// reports the simulated disk reads the SSTable probes cost.
+func (db *DB) lookup(key []byte) (rec []byte, ioReads int, err error) {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
-		return GetResult{}, ErrClosed
+		return nil, 0, ErrClosed
 	}
+	// imm and tables are replaced, never mutated in place, so the
+	// slices read here stay valid after the lock is released.
 	mem := db.mem
 	imm := db.imm
-	tables := append([]*Table(nil), db.tables...)
+	tables := db.tables
 	db.mu.RUnlock()
 
-	now := db.opt.Clock.Now().Unix()
-	// Memtable first, then immutable memtables newest-first.
 	if rec, ok := mem.Get(key); ok {
-		return db.finishGet(rec, 0, now)
+		return rec, 0, nil
 	}
 	for i := len(imm) - 1; i >= 0; i-- {
 		if rec, ok := imm[i].Get(key); ok {
-			return db.finishGet(rec, 0, now)
+			return rec, 0, nil
 		}
 	}
-	ioReads := 0
 	for _, t := range tables {
 		rec, found, ios, err := t.Get(key)
 		ioReads += ios
-		if err != nil {
-			return GetResult{IOReads: ioReads}, err
-		}
-		if found {
-			db.mu.Lock()
-			db.getIOReads += int64(ioReads)
-			db.mu.Unlock()
-			return db.finishGet(rec, ioReads, now)
+		if err != nil || found {
+			return rec, ioReads, err
 		}
 	}
-	db.mu.Lock()
-	db.getIOReads += int64(ioReads)
-	db.mu.Unlock()
-	return GetResult{IOReads: ioReads}, ErrNotFound
+	return nil, ioReads, ErrNotFound
 }
 
 func (db *DB) finishGet(rec []byte, ioReads int, now int64) (GetResult, error) {
@@ -565,13 +574,15 @@ func (db *DB) doFlush() (tooMany bool, err error) {
 	}
 
 	db.mu.Lock()
-	// Remove frozen from imm and install the table as newest.
-	for i, m := range db.imm {
-		if m == frozen {
-			db.imm = append(db.imm[:i], db.imm[i+1:]...)
-			break
+	// Remove frozen from imm and install the table as newest. Both
+	// slices are rebuilt rather than edited: Get reads them unlocked.
+	var imm []*skiplist.List
+	for _, m := range db.imm {
+		if m != frozen {
+			imm = append(imm, m)
 		}
 	}
+	db.imm = imm
 	db.tables = append([]*Table{t}, db.tables...)
 	db.flushes++
 	tooMany = len(db.tables) > db.opt.MaxTables && !db.opt.DisableAutoCompact
@@ -717,7 +728,7 @@ func (db *DB) Stats() Stats {
 		Tables:         len(db.tables),
 		Flushes:        db.flushes,
 		Compactions:    db.compactions,
-		GetIOReads:     db.getIOReads,
+		GetIOReads:     db.getIOReads.Load(),
 		ExpiredDropped: db.expiredDropped,
 	}
 	for _, t := range db.tables {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -296,12 +298,13 @@ func TestTornWALTailIgnored(t *testing.T) {
 	names, _ := fs.List("d")
 	for _, n := range names {
 		if len(n) > 4 && n[len(n)-4:] == ".wal" {
-			f, _ := fs.files[("d/"+n)], error(nil)
-			_ = f
-			wf := fs.files["d/"+n]
-			wf.mu.Lock()
-			wf.data = append(wf.data, 0xDE, 0xAD, 0xBE)
-			wf.mu.Unlock()
+			f, err := fs.Open("d/" + n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	db2, err := Open(Options{FS: fs, Dir: "d"})
@@ -446,6 +449,26 @@ func TestBloomFilterBasics(t *testing.T) {
 	}
 	if fp > 50 { // ~1% expected; allow 5%
 		t.Fatalf("false positive rate too high: %d/1000", fp)
+	}
+}
+
+// TestBloomHashMatchesFNV pins the inline hash to hash/fnv's 64-bit
+// FNV-1a: bloom filters already written to SSTables were built with it.
+func TestBloomHashMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := [][]byte{nil, {}, {0}, {0xff}, []byte("key000001")}
+	for i := 0; i < 200; i++ {
+		k := make([]byte, rng.Intn(64))
+		rng.Read(k)
+		keys = append(keys, k)
+	}
+	for _, k := range keys {
+		h := fnv.New64a()
+		h.Write(k)
+		v := h.Sum64()
+		if h1, h2 := bloomHash(k); h1 != uint32(v) || h2 != uint32(v>>32) {
+			t.Fatalf("bloomHash(%x) = %08x %08x, want %016x", k, h2, h1, v)
+		}
 	}
 }
 

@@ -228,7 +228,11 @@ func (t *Table) Get(key []byte) (rec []byte, found bool, ioReads int, err error)
 		end = t.index[pos+1].off
 	}
 	buf := make([]byte, end-start)
-	if _, err := io.ReadFull(io.NewSectionReader(t.f, start, int64(len(buf))), buf); err != nil {
+	// ReadAt may report io.EOF alongside a full read that ends the data.
+	if n, err := t.f.ReadAt(buf, start); n < len(buf) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, false, 1, fmt.Errorf("lavastore: read %s: %w", t.name, err)
 	}
 	for len(buf) > 0 {

@@ -2,6 +2,7 @@ package lavastore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -112,41 +113,51 @@ func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
 }
 
+// memChunkSize is the fixed size of the chunks a MemFS file keeps its
+// bytes in. Appends fill the last chunk and then add fresh ones, so a
+// write never copies existing data and a file's slack is under one
+// chunk; reads locate their first chunk by division.
+const memChunkSize = 64 << 10
+
 type memFile struct {
-	mu   sync.RWMutex
-	data []byte
-	fs   *MemFS
+	mu     sync.RWMutex
+	chunks [][]byte // each memChunkSize long; all but the last are full
+	size   int64
 }
 
 func (f *memFile) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	// Grow by doubling: append's growth factor shrinks for large
-	// slices, which turns append-heavy logs (WAL) into repeated
-	// whole-file copies.
-	if need := len(f.data) + len(p); need > cap(f.data) {
-		newCap := 2 * cap(f.data)
-		if newCap < need {
-			newCap = need
+	n := len(p)
+	for len(p) > 0 {
+		if f.size == int64(len(f.chunks))*memChunkSize {
+			f.chunks = append(f.chunks, make([]byte, memChunkSize))
 		}
-		if newCap < 4096 {
-			newCap = 4096
-		}
-		grown := make([]byte, len(f.data), newCap)
-		copy(grown, f.data)
-		f.data = grown
+		m := copy(f.chunks[len(f.chunks)-1][f.size%memChunkSize:], p)
+		p = p[m:]
+		f.size += int64(m)
 	}
-	f.data = append(f.data, p...)
-	return len(p), nil
+	return n, nil
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if off >= int64(len(f.data)) {
+	if off < 0 {
+		return 0, errors.New("lavastore: memfs: negative offset")
+	}
+	if off >= f.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.data[off:])
+	want := len(p)
+	if rest := f.size - off; int64(want) > rest {
+		want = int(rest)
+	}
+	n := 0
+	for n < want {
+		pos := off + int64(n)
+		n += copy(p[n:want], f.chunks[pos/memChunkSize][pos%memChunkSize:])
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -158,14 +169,14 @@ func (f *memFile) Sync() error  { return nil }
 func (f *memFile) Size() (int64, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // Create implements FS.
 func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := &memFile{fs: m}
+	f := &memFile{}
 	m.files[name] = f
 	return f, nil
 }

@@ -218,7 +218,11 @@ func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, e
 	// down, stale epoch, moved partition) re-resolves routes and
 	// re-dispatches exactly once, like withRoute on the point path.
 	pending := miss
+	tickets := make([]uint64, len(keys))
 	for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
+		for _, i := range pending {
+			tickets[i] = p.fillTicket(keys[i]) // see GetPref
+		}
 		batches := p.groupByNode(keys, pending, errs)
 		runBounded(len(batches), p.fanout(len(pending)), func(bi int) {
 			nb := batches[bi]
@@ -250,7 +254,7 @@ func (p *Proxy) BatchGet(ctx context.Context, keys [][]byte) (values [][]byte, e
 					// TTL-bearing values stay out of the AU-LRU (see Get);
 					// TTL-free fills go through the hotness gate.
 					if bv.ExpireAt == 0 {
-						p.cacheFill(keys[i], bv.Value, ests[i])
+						p.cacheFill(keys[i], bv.Value, ests[i], tickets[i])
 					}
 					p.success.Inc()
 				}

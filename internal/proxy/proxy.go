@@ -126,6 +126,10 @@ type Proxy struct {
 	hits     metrics.Counter
 	misses   metrics.Counter
 	latency  *metrics.Histogram
+
+	// beforeFill, when set by a test, runs between a read's DataNode
+	// reply and its AU-LRU fill.
+	beforeFill func()
 }
 
 // New creates a proxy and registers it with the MetaServer for traffic
@@ -225,10 +229,24 @@ func (p *Proxy) hotAdmit(est float64) bool {
 	return p.hot == nil || est >= p.hotThreshold
 }
 
-// cacheFill inserts a fetched TTL-free value under the hotness gate.
-func (p *Proxy) cacheFill(key, value []byte, est float64) {
+// fillTicket snapshots key's AU-LRU write generation; take it before
+// reading the DataNode and pass it to cacheFill.
+func (p *Proxy) fillTicket(key []byte) uint64 {
+	if p.cache == nil {
+		return 0
+	}
+	return p.cache.FillTicket(string(key))
+}
+
+// cacheFill inserts a fetched TTL-free value under the hotness gate,
+// unless a write to key finished its cache update after ticket was
+// taken: the fetched value may be older than that write's.
+func (p *Proxy) cacheFill(key, value []byte, est float64, ticket uint64) {
+	if p.beforeFill != nil {
+		p.beforeFill()
+	}
 	if p.cache != nil && p.hotAdmit(est) {
-		p.cache.Put(string(key), value)
+		p.cache.Fill(string(key), value, ticket)
 	}
 }
 
@@ -399,6 +417,7 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 		fromFollower := false
 		var res datanode.OpResult
 		var err error
+		ticket := p.fillTicket(key)
 		if pref == ReadFollower {
 			res, err, fromFollower = p.followerRead(ctx, route, key)
 		}
@@ -417,7 +436,7 @@ func (p *Proxy) GetPref(ctx context.Context, key []byte, pref ReadPreference) ([
 		// except follower-read values, whose bounded staleness must
 		// not leak into the cache other clients share.
 		if res.ExpireAt == 0 && !fromFollower {
-			p.cacheFill(key, res.Value, est)
+			p.cacheFill(key, res.Value, est, ticket)
 		}
 		value = res.Value
 		return nil

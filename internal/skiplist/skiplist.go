@@ -12,9 +12,12 @@ const maxHeight = 16
 // node is a skiplist node. next pointers are atomic so readers never lock.
 type node struct {
 	key   []byte
-	value atomic.Value // holds []byte; updated in place on overwrite
-	next  [maxHeight]atomic.Pointer[node]
-	level int
+	value atomic.Pointer[[]byte] // updated in place on overwrite
+	// first is the value the node was inserted with; value points at it
+	// until the first overwrite, so an insert needs no separate box.
+	first []byte
+	// next is the node's tower, one pointer per level it is linked at.
+	next []atomic.Pointer[node]
 }
 
 // List is a concurrent skiplist. The zero value is not usable; call New.
@@ -30,7 +33,7 @@ type List struct {
 // tests; production callers can pass any value.
 func New(seed int64) *List {
 	return &List{
-		head: &node{level: maxHeight},
+		head: &node{next: make([]atomic.Pointer[node], maxHeight)},
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
@@ -45,11 +48,17 @@ func (l *List) randomHeight() int {
 
 // findGreaterOrEqual returns the first node with key >= key, and fills
 // prev with the rightmost node before key at every level.
+//
+// It returns the level-0 successor it compared against key, not a fresh
+// load of x's successor: a node inserted behind x since that comparison
+// may sort before key, and a lock-free reader would then land short of
+// key (a Get would miss a present key).
 func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 	x := l.head
+	var next *node
 	for lvl := maxHeight - 1; lvl >= 0; lvl-- {
 		for {
-			next := x.next[lvl].Load()
+			next = x.next[lvl].Load()
 			if next != nil && bytes.Compare(next.key, key) < 0 {
 				x = next
 				continue
@@ -60,25 +69,31 @@ func (l *List) findGreaterOrEqual(key []byte, prev *[maxHeight]*node) *node {
 			prev[lvl] = x
 		}
 	}
-	return x.next[0].Load()
+	return next
 }
 
 // Put inserts or overwrites key with value. The value slice is stored
 // as-is; callers must not mutate it afterwards.
-func (l *List) Put(key, value []byte) {
+func (l *List) Put(key, value []byte) { l.put(key, value, 0) }
+
+// put is Put with the new node's tower height; 0 draws it at random.
+func (l *List) put(key, value []byte, h int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var prev [maxHeight]*node
 	n := l.findGreaterOrEqual(key, &prev)
 	if n != nil && bytes.Equal(n.key, key) {
-		old := n.value.Load().([]byte)
+		old := *n.value.Load()
 		l.bytes.Add(int64(len(value)) - int64(len(old)))
-		n.value.Store(value)
+		v := value // a copy declared here, so only overwrites allocate a box
+		n.value.Store(&v)
 		return
 	}
-	h := l.randomHeight()
-	nn := &node{key: key, level: h}
-	nn.value.Store(value)
+	if h == 0 {
+		h = l.randomHeight()
+	}
+	nn := &node{key: key, first: value, next: make([]atomic.Pointer[node], h)}
+	nn.value.Store(&nn.first)
 	for lvl := 0; lvl < h; lvl++ {
 		nn.next[lvl].Store(prev[lvl].next[lvl].Load())
 	}
@@ -96,7 +111,7 @@ func (l *List) Get(key []byte) ([]byte, bool) {
 	if n == nil || !bytes.Equal(n.key, key) {
 		return nil, false
 	}
-	return n.value.Load().([]byte), true
+	return *n.value.Load(), true
 }
 
 // Len returns the number of keys in the list.
@@ -137,4 +152,4 @@ func (it *Iterator) Key() []byte { return it.cur.key }
 
 // Value returns the current entry's value. Valid only after a
 // successful Next or Seek.
-func (it *Iterator) Value() []byte { return it.cur.value.Load().([]byte) }
+func (it *Iterator) Value() []byte { return *it.cur.value.Load() }

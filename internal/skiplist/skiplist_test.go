@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,152 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	if l.Len() != n {
 		t.Fatalf("Len = %d, want %d", l.Len(), n)
 	}
+}
+
+// TestConcurrentReadersAllHeights inserts nodes of every tower height
+// while readers Get and Seek and iterators walk the list; run it under
+// -race. Lock-free readers must only ever see fully linked nodes, in
+// order, through towers sized to each node's height.
+func TestConcurrentReadersAllHeights(t *testing.T) {
+	l := New(3)
+	const n = 4 * maxHeight * 40
+	order := rand.New(rand.NewSource(5)).Perm(n)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for j, i := range order {
+			k := key(i)
+			l.put(k, k, j%maxHeight+1)
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(2)
+		go func(seed int64) { // point reads and seeks
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := key(rng.Intn(n))
+				if v, ok := l.Get(k); ok && !bytes.Equal(v, k) {
+					t.Errorf("Get(%q) = %q", k, v)
+					return
+				}
+				it := l.NewIterator()
+				if it.Seek(k) && bytes.Compare(it.Key(), k) < 0 {
+					t.Errorf("Seek(%q) landed on %q", k, it.Key())
+					return
+				}
+			}
+		}(int64(r))
+		go func() { // full scans
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				it := l.NewIterator()
+				var prev []byte
+				for it.Next() {
+					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+						t.Errorf("order violation: %q then %q", prev, it.Key())
+						return
+					}
+					if !bytes.Equal(it.Value(), it.Key()) {
+						t.Errorf("value of %q = %q", it.Key(), it.Value())
+						return
+					}
+					prev = it.Key()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if l.Len() != n {
+		t.Fatalf("Len = %d, want %d", l.Len(), n)
+	}
+	// Every level is a sorted chain of nodes tall enough to be on it,
+	// and every height from 1 to maxHeight was linked.
+	heights := map[int]int{}
+	for x := l.head.next[0].Load(); x != nil; x = x.next[0].Load() {
+		heights[len(x.next)]++
+	}
+	for h := 1; h <= maxHeight; h++ {
+		if heights[h] != n/maxHeight {
+			t.Fatalf("%d nodes of height %d, want %d", heights[h], h, n/maxHeight)
+		}
+	}
+	for lvl := 0; lvl < maxHeight; lvl++ {
+		count := 0
+		var prev []byte
+		for x := l.head.next[lvl].Load(); x != nil; x = x.next[lvl].Load() {
+			if len(x.next) <= lvl {
+				t.Fatalf("node %q of height %d linked at level %d", x.key, len(x.next), lvl)
+			}
+			if prev != nil && bytes.Compare(prev, x.key) >= 0 {
+				t.Fatalf("level %d out of order: %q then %q", lvl, prev, x.key)
+			}
+			prev = x.key
+			count++
+		}
+		if want := n / maxHeight * (maxHeight - lvl); count != want {
+			t.Fatalf("level %d links %d nodes, want %d", lvl, count, want)
+		}
+	}
+}
+
+// TestGetNeverMissesPresentKey: a lock-free Get for a key that is
+// already in the list must find it while a node is being linked right in
+// front of it. The writer inserts odd keys, each just before an even key
+// already present, and the readers keep reading that even key.
+func TestGetNeverMissesPresentKey(t *testing.T) {
+	l := New(11)
+	const n = 40000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
+	for i := 0; i <= n; i += 2 {
+		l.Put(key(i), key(i))
+	}
+	var cursor atomic.Int64 // the odd key being inserted
+	cursor.Store(n - 1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := n - 1; i > 0; i -= 2 {
+			cursor.Store(int64(i))
+			l.Put(key(i), key(i))
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := key(int(cursor.Load()) + 1)
+				if _, ok := l.Get(k); !ok {
+					t.Errorf("Get(%q) missed a present key", k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestConcurrentWriters(t *testing.T) {
