@@ -1,7 +1,8 @@
 // Package analysis is a self-contained static-analysis framework for
 // abasecheck, the suite that mechanically enforces this repository's
 // protocol invariants (context-first APIs, clock discipline, sentinel
-// matching, lock pairing, and RU accounting).
+// matching, lock pairing, RU accounting, and the DataNode's single
+// admission site).
 //
 // The types mirror the golang.org/x/tools/go/analysis vocabulary —
 // Analyzer, Pass, Diagnostic — so the analyzers read like standard
@@ -13,7 +14,7 @@
 // golden-file testing through the analysistest subpackage.
 //
 // The analyzers live in subpackages (ctxfirst, clockdiscipline,
-// sentinelis, lockdiscipline, rucharge), are assembled by the suite
-// subpackage, and are driven by cmd/abasecheck — standalone over `go
-// list` patterns or as a `go vet -vettool`.
+// sentinelis, lockdiscipline, rucharge, pipelinesite), are assembled
+// by the suite subpackage, and are driven by cmd/abasecheck —
+// standalone over `go list` patterns or as a `go vet -vettool`.
 package analysis

@@ -8,6 +8,7 @@ import (
 	"abase/internal/analysis/clockdiscipline"
 	"abase/internal/analysis/ctxfirst"
 	"abase/internal/analysis/lockdiscipline"
+	"abase/internal/analysis/pipelinesite"
 	"abase/internal/analysis/rucharge"
 	"abase/internal/analysis/sentinelis"
 )
@@ -19,6 +20,7 @@ func Analyzers() []*analysis.Analyzer {
 		clockdiscipline.Analyzer,
 		ctxfirst.Analyzer,
 		lockdiscipline.Analyzer,
+		pipelinesite.Analyzer,
 		rucharge.Analyzer,
 		sentinelis.Analyzer,
 	}

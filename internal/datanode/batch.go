@@ -3,7 +3,6 @@ package datanode
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"abase/internal/lavastore"
@@ -29,7 +28,8 @@ type BatchValue struct {
 	Err      error
 	CacheHit bool
 	// ExpireAt is the record's TTL deadline (Unix seconds, 0 = none) on
-	// reads; caching layers above must not hold TTL-bearing values.
+	// reads and existence checks; caching layers above must not hold
+	// TTL-bearing values.
 	ExpireAt int64
 }
 
@@ -60,71 +60,52 @@ type PutBatch struct {
 	Epoch uint64
 }
 
-// groupRun is the per-partition execution state of one node batch.
-type groupRun struct {
-	idx  int // index into the caller's group slice
-	rep  *replica
-	ts   *tenantStats
-	est  *ru.Estimator
-	cost float64 // RU admission cost for the whole sub-batch
-	task *wfq.Task
-	// charged flips once the partition limiter admits the sub-batch; a
-	// task dropped after that point (queue abort, closed scheduler)
-	// never executes, so the RU goes back. Written before sched.Submit
-	// and read only by the scheduler afterwards, so it is ordered.
-	charged bool
-	// lastSeq is the engine sequence the sub-batch's final record
-	// committed at — the whole group's replication position. Written in
-	// the IOStage, read after wg.Wait, so it is ordered.
-	lastSeq uint64
+// size is the payload a write bills (deletes carry none).
+func (op WriteOp) size() int {
+	if op.Delete {
+		return 0
+	}
+	return len(op.Value)
 }
 
-// runMulti is the shared node-batch engine: it enters the request
-// queue ONCE for the whole batch (one AdmitCost, one queue slot — the
-// batched request is one network request), admits each partition
-// sub-batch against its own partition quota at the summed cost, and
-// submits one WFQ task per admitted sub-batch. Each task's Done (wired
-// by the caller) must release wg exactly once; runs whose quota
-// rejects or whose submission fails are released here.
-func (n *Node) runMulti(ctx context.Context, runs []*groupRun, out []BatchResult, wg *sync.WaitGroup) {
-	queued := n.admit.submit(func() {
-		// A batch canceled while queued aborts before the worker spends
-		// admit cost or quota on any of its sub-batches.
-		if err := ctx.Err(); err != nil {
-			for _, r := range runs {
-				out[r.idx].Err = err
-				wg.Done()
-			}
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		for _, r := range runs {
-			if n.quotaOn.Load() {
-				if !r.rep.limiter.Allow(r.cost) {
-					burn(n.cfg.Clock, n.cfg.RejectCost)
-					r.ts.throttled.Inc()
-					out[r.idx].Err = ErrThrottled
-					wg.Done()
-					continue
-				}
-				r.charged = true
-			}
-			if !n.sched.Submit(r.task) {
-				if r.charged {
-					r.rep.limiter.Refund(r.cost)
-				}
-				out[r.idx].Err = errors.New("datanode: scheduler closed")
-				wg.Done()
-			}
-		}
-	})
-	if !queued {
-		for _, r := range runs {
-			r.ts.errors.Inc()
-			out[r.idx].Err = ErrOverloaded
-			wg.Done()
+func toBatchOps(ops []WriteOp) []lavastore.BatchOp {
+	batch := make([]lavastore.BatchOp, len(ops))
+	for i, op := range ops {
+		batch[i] = lavastore.BatchOp{Key: op.Key, Value: op.Value, TTL: op.TTL, Delete: op.Delete}
+	}
+	return batch
+}
+
+// batch runs a node batch of count partition groups as ONE request —
+// one request-queue admission and AdmitCost, as the batched request is
+// one network request — with one stage, quota charge and WFQ task per
+// group. build returns group i's stage, nil for an empty group, or the
+// error that kept the group out at the front door.
+func (n *Node) batch(ctx context.Context, count int, build func(i int) (*stage, error)) []BatchResult {
+	out := make([]BatchResult, count)
+	stages := make([]*stage, 0, count)
+	idx := make([]int, 0, count)
+	for i := range out {
+		s, err := build(i)
+		switch {
+		case err != nil:
+			out[i].Err = err
+		case s != nil:
+			stages = append(stages, s)
+			idx = append(idx, i)
 		}
 	}
+	if len(stages) == 0 {
+		return out
+	}
+	lat := n.exec(ctx, stages...)
+	for j, s := range stages {
+		out[idx[j]] = BatchResult{Values: s.vals, Latency: lat, Err: s.err}
+		if s.err == nil {
+			out[idx[j]].RU = s.ru
+		}
+	}
+	return out
 }
 
 // MultiGet executes one node batch of reads: every partition sub-batch
@@ -132,423 +113,243 @@ func (n *Node) runMulti(ctx context.Context, runs []*groupRun, out []BatchResult
 // WFQ task and one quota charge per sub-batch, and one SA-LRU/engine
 // pass over its keys. The result slice is parallel to groups.
 func (n *Node) MultiGet(ctx context.Context, groups []GetBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
+	return n.batch(ctx, len(groups), func(i int) (*stage, error) {
+		g := groups[i]
 		if len(g.Keys) == 0 {
-			continue
+			return nil, nil
 		}
-		rep, err := n.getReplica(g.PID)
+		s, err := n.open(ctx, g.PID, false, 0, func(r *replica) { r.recordAccessBatch(g.Keys) })
 		if err != nil {
-			out[i].Err = err
-			continue
+			return nil, err
 		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessBatch(g.Keys) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Keys))
-		out[i].Values = vals
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est,
-			cost: est.EstimateReadRU() * float64(len(g.Keys))}
-		pid, keys := g.PID, g.Keys
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.ClassFor(false, int(est.ExpectedReadSize())),
-			RUCost:     r.cost,
-			IOPSCost:   float64(len(keys)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-		}
-		task.CPUStage = func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			needIO := false
-			for k, key := range keys {
-				if v, ok := n.cache.Get(cacheKey(pid, key)); ok {
-					vals[k] = BatchValue{Value: v, CacheHit: true}
-				} else {
-					needIO = true
-				}
-			}
-			return needIO
-		}
-		task.IOStage = func() {
-			for k, key := range keys {
-				if vals[k].CacheHit {
-					continue
-				}
-				ck := cacheKey(pid, key)
-				ticket := n.cache.FillTicket(ck) // see Node.Get
-				got, err := rep.db.Get(key)
-				reads := got.IOReads
-				if reads < 1 {
-					reads = 1
-				}
-				burn(n.cfg.Clock, time.Duration(reads)*n.cfg.Cost.IOReadTime)
-				if err != nil {
-					if errors.Is(err, lavastore.ErrNotFound) {
-						vals[k].Err = ErrNotFound
-					} else {
-						vals[k].Err = err
-					}
-					continue
-				}
-				if n.beforeFill != nil {
-					n.beforeFill()
-				}
-				// TTL-bearing values stay uncached: the SA-LRU has no
-				// per-entry expiry (see Node.Get).
-				if got.ExpireAt == 0 {
-					n.cache.Fill(ck, got.Value, ticket)
-				}
-				vals[k].Value = got.Value
-				vals[k].ExpireAt = got.ExpireAt
+		n.readStage(s, g.Keys)
+		return s, nil
+	})
+}
+
+// readStage serves keys from the SA-LRU in the CPU stage and the rest
+// from the engine in the I/O stage, billing each read on its actual
+// size and cache outcome (§4.1).
+func (n *Node) readStage(s *stage, keys [][]byte) {
+	s.class = wfq.ClassFor(false, int(s.est.ExpectedReadSize()))
+	s.cost = s.est.EstimateReadRU() * float64(len(keys))
+	s.iops = float64(len(keys))
+	s.vals = make([]BatchValue, len(keys))
+	prefix := cacheKeyPrefix(s.rep.id.Partition)
+	s.cpu = func() bool {
+		needIO := false
+		for k, key := range keys {
+			if v, ok := n.cache.Get(prefix + string(key)); ok {
+				s.vals[k] = BatchValue{Value: v, CacheHit: true}
+				s.est.ObserveRead(len(v), true)
+				s.ok++
+				s.hits++
+			} else {
+				needIO = true
 			}
 		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
-			}
-			out[r.idx].Err = err
-			wg.Done()
-		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
+		return needIO
 	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
-		}
-		for k := range o.Values {
-			bv := &o.Values[k]
-			switch {
-			case bv.Err == nil:
-				r.est.ObserveRead(len(bv.Value), bv.CacheHit)
-				o.RU += ru.ReadRU(len(bv.Value), boolTo01(bv.CacheHit))
-				r.ts.success.Inc()
-				if bv.CacheHit {
-					r.ts.cacheHits.Inc()
-				} else {
-					r.ts.cacheMiss.Inc()
-				}
-			case errors.Is(bv.Err, ErrNotFound):
-				r.est.ObserveRead(0, false)
-				r.ts.errors.Inc()
-			default:
-				r.ts.errors.Inc()
+	s.io = func() (d time.Duration) {
+		for k, key := range keys {
+			bv := &s.vals[k]
+			if bv.CacheHit {
+				continue
 			}
+			ck := prefix + string(key)
+			// The ticket orders the fill below against writes that
+			// commit and write through while this read is in flight.
+			ticket := n.cache.FillTicket(ck)
+			got, err := s.rep.db.Get(key)
+			d += time.Duration(max(got.IOReads, 1)) * n.cfg.Cost.IOReadTime
+			if err != nil {
+				bv.Err = err
+				if errors.Is(err, lavastore.ErrNotFound) {
+					// An absent key still cost a lookup: size 0, miss.
+					bv.Err = ErrNotFound
+					s.est.ObserveRead(0, false)
+				}
+				s.failed++
+				continue
+			}
+			if n.beforeFill != nil {
+				n.beforeFill()
+			}
+			// The SA-LRU has no per-entry expiry, so caching a TTL-bearing
+			// value would keep serving it after the record expires — point
+			// reads would then disagree with Scan/Keys, which consult the
+			// engine. TTL'd values stay uncached.
+			if got.ExpireAt == 0 {
+				n.cache.Fill(ck, got.Value, ticket)
+			}
+			bv.Value, bv.ExpireAt = got.Value, got.ExpireAt
+			s.est.ObserveRead(len(got.Value), false)
+			s.ru += ru.ReadRU(len(got.Value), 0)
+			s.ok++
+			s.misses++
 		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
+		return d
 	}
-	return out
 }
 
 // MultiWrite executes one node batch of writes: a single request-queue
 // admission for the node batch, one WFQ write task and one quota
-// charge per partition sub-batch, and per-op error slots. Successful
-// ops replicate individually (replication stays per-key and
-// asynchronous). The result slice is parallel to groups.
+// charge per partition sub-batch, and per-op error slots. Each
+// sub-batch commits as one group commit and replicates as one message
+// per follower. The result slice is parallel to groups.
 func (n *Node) MultiWrite(ctx context.Context, groups []PutBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
+	return n.batch(ctx, len(groups), func(i int) (*stage, error) {
+		g := groups[i]
 		if len(g.Ops) == 0 {
-			continue
+			return nil, nil
 		}
-		rep, err := n.getReplica(g.PID)
+		s, err := n.open(ctx, g.PID, true, g.Epoch, func(r *replica) { r.recordAccessOps(g.Ops) })
 		if err != nil {
-			out[i].Err = err
-			continue
+			return nil, err
 		}
-		// Fence the whole sub-batch before any accounting (see write).
-		if err := rep.checkWrite(g.Epoch); err != nil {
-			out[i].Err = err
-			continue
-		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessOps(g.Ops) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Ops))
-		out[i].Values = vals
-		var cost float64
-		totalSize := 0
-		for _, op := range g.Ops {
-			size := 0
-			if !op.Delete {
-				size = len(op.Value)
-			}
-			cost += ru.WriteRU(size, n.cfg.Replicas)
-			totalSize += size
-		}
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est, cost: cost}
-		pid, ops := g.PID, g.Ops
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.ClassFor(true, totalSize),
-			RUCost:     cost,
-			IOPSCost:   float64(len(ops)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-			CPUStage: func() bool {
-				burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-				return true // writes always reach the I/O layer (WAL)
-			},
-			IOStage: func() {
-				burn(n.cfg.Clock, time.Duration(len(ops))*n.cfg.Cost.IOWriteTime)
-				prefix := cacheKeyPrefix(pid)
-				batch := make([]lavastore.BatchOp, 0, len(ops))
-				applied := make([]int, 0, len(ops)) // op index per batch entry
-				// live tracks each touched key's existence as the
-				// batch's own ops apply in order; the engine probe
-				// only answers for pre-batch state.
-				var live map[string]bool
-				liveState := func(key []byte) (exists, known bool) {
-					exists, known = live[string(key)]
-					return exists, known
-				}
-				setLive := func(key []byte, exists bool) {
-					if live == nil {
-						live = make(map[string]bool)
-					}
-					live[string(key)] = exists
-				}
-				for k, op := range ops {
-					if op.Delete {
-						// Deleting an absent key is a no-op that must
-						// report ErrNotFound (Redis DEL counts only
-						// existing keys).
-						exists, known := liveState(op.Key)
-						if !known {
-							// Real metadata read; charge it as one.
-							burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-							_, err := rep.db.TTL(op.Key)
-							exists = !errors.Is(err, lavastore.ErrNotFound)
-						}
-						if !exists {
-							vals[k].Err = ErrNotFound
-							setLive(op.Key, false)
-							continue
-						}
-						setLive(op.Key, false)
-					} else {
-						setLive(op.Key, true)
-					}
-					batch = append(batch, lavastore.BatchOp{Key: op.Key, Value: op.Value, TTL: op.TTL, Delete: op.Delete})
-					applied = append(applied, k)
-				}
-				last, err := rep.db.WriteBatchSeq(batch)
-				if err != nil {
-					for _, k := range applied {
-						vals[k].Err = err
-					}
-					return
-				}
-				r.lastSeq = last
-				// Write-through keeps the node cache coherent — except
-				// for TTL-bearing values, which the SA-LRU cannot expire
-				// and so must not hold (see Node.Get).
-				for _, k := range applied {
-					op := ops[k]
-					ck := prefix + string(op.Key)
-					if op.Delete || op.TTL > 0 {
-						n.cache.Delete(ck)
-					} else {
-						n.cache.Put(ck, op.Value)
-					}
-				}
-			},
-		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
-			}
-			out[r.idx].Err = err
-			wg.Done()
-		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
+		n.writeStage(s, g.Ops)
+		return s, nil
+	})
+}
+
+// writeStage commits ops on the primary as one group commit under
+// their key stripes, writing through the SA-LRU. Deleting an absent key
+// is a no-op that reports ErrNotFound (Redis DEL counts only existing
+// keys) and writes no tombstone.
+func (n *Node) writeStage(s *stage, ops []WriteOp) {
+	totalSize := 0
+	for _, op := range ops {
+		s.cost += ru.WriteRU(op.size(), n.cfg.Replicas)
+		totalSize += op.size()
 	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
+	s.class = wfq.ClassFor(true, totalSize)
+	s.iops = float64(len(ops))
+	s.vals = make([]BatchValue, len(ops))
+	rep := s.rep
+	s.io = func() time.Duration {
+		d := time.Duration(len(ops)) * n.cfg.Cost.IOWriteTime
+		var held stripeSet
+		for _, op := range ops {
+			held |= stripeOf(op.Key)
 		}
-		ok := make([]WriteOp, 0, len(groups[r.idx].Ops))
-		for k, op := range groups[r.idx].Ops {
-			if o.Values[k].Err != nil {
-				r.ts.errors.Inc()
+		rep.lock(held)
+		defer rep.unlock(held)
+		batch := make([]WriteOp, 0, len(ops))
+		// live tracks each touched key's existence as the batch's own
+		// ops apply in order; the engine probe only answers for
+		// pre-batch state.
+		var live map[string]bool
+		for k, op := range ops {
+			exists, known := live[string(op.Key)]
+			if op.Delete && !known {
+				// A real metadata read; charge it as one.
+				d += n.cfg.Cost.IOReadTime
+				_, err := rep.db.TTL(op.Key)
+				exists = !errors.Is(err, lavastore.ErrNotFound)
+			}
+			if len(ops) > 1 {
+				if live == nil {
+					live = make(map[string]bool)
+				}
+				live[string(op.Key)] = !op.Delete
+			}
+			if op.Delete && !exists {
+				s.vals[k].Err = ErrNotFound
+				s.failed++
 				continue
 			}
-			size := 0
-			if !op.Delete {
-				size = len(op.Value)
+			batch = append(batch, op)
+		}
+		if len(batch) == 0 {
+			return d
+		}
+		pos, err := n.commit(rep, batch, 0, true)
+		if err != nil {
+			for k := range s.vals {
+				if s.vals[k].Err == nil {
+					s.vals[k].Err = err
+					s.failed++
+				}
 			}
-			o.RU += ru.WriteRU(size, n.cfg.Replicas)
-			ok = append(ok, op)
-			r.ts.success.Inc()
+			return d
 		}
-		if len(ok) > 0 {
-			// ok is exactly the set (and order) the engine committed, so
-			// the batch's records occupy the contiguous sequence range
-			// ending at lastSeq on every replica (see ops.go write).
-			r.rep.advancePos(r.lastSeq)
-			n.replicator.ReplicateBatch(r.rep.id, ok, r.lastSeq)
+		for _, op := range batch {
+			s.ru += ru.WriteRU(op.size(), n.cfg.Replicas)
 		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
+		s.ok += int64(len(batch))
+		s.repl, s.pos = batch, pos
+		return d
 	}
-	return out
 }
 
 // MultiContains resolves key existence for one node batch without
 // transferring values: SA-LRU presence answers directly, and the rest
-// use the engine's record-metadata lookup (the same value-free path
-// TTL uses). Each sub-batch is admitted at a metadata-sized RU cost
-// rather than a full read estimate per key. In the result, a slot's
-// Err is nil when the key exists and ErrNotFound when it does not.
+// use the engine's record-metadata lookup. Each sub-batch is admitted
+// and billed at a metadata-sized RU cost rather than a full read
+// estimate per key. In the result, a slot's Err is nil when the key
+// exists and ErrNotFound when it does not; ExpireAt carries an existing
+// key's TTL deadline (0 = none).
 func (n *Node) MultiContains(ctx context.Context, groups []GetBatch) []BatchResult {
-	out := make([]BatchResult, len(groups))
-	start := n.cfg.Clock.Now()
-	var runs []*groupRun
-	var wg sync.WaitGroup
-	for i, g := range groups {
+	return n.batch(ctx, len(groups), func(i int) (*stage, error) {
+		g := groups[i]
 		if len(g.Keys) == 0 {
-			continue
+			return nil, nil
 		}
-		rep, err := n.getReplica(g.PID)
+		s, err := n.open(ctx, g.PID, false, 0, func(r *replica) { r.recordAccessBatch(g.Keys) })
 		if err != nil {
-			out[i].Err = err
-			continue
+			return nil, err
 		}
-		ts, est := n.tenantState(g.PID.Tenant)
-		if err := ctx.Err(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		rep.recordAccessBatch(g.Keys) // offered load heats even if shed
-		if err := n.admitCtx(ctx, ts); err != nil {
-			out[i].Err = err
-			continue
-		}
-		vals := make([]BatchValue, len(g.Keys))
-		out[i].Values = vals
-		r := &groupRun{idx: i, rep: rep, ts: ts, est: est,
-			cost: est.EstimateHLenRU() * float64(len(g.Keys))}
-		pid, keys := g.PID, g.Keys
-		resolved := make([]bool, len(keys))
-		task := &wfq.Task{
-			Tenant:     pid.Tenant,
-			Partition:  pid.String(),
-			Class:      wfq.SmallRead,
-			RUCost:     r.cost,
-			IOPSCost:   float64(len(keys)),
-			QuotaShare: n.quotaShare(rep),
-			Ctx:        ctx,
-		}
-		task.CPUStage = func() bool {
-			burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-			needIO := false
-			for k, key := range keys {
-				if _, ok := n.cache.Get(cacheKey(pid, key)); ok {
-					resolved[k] = true
-				} else {
-					needIO = true
-				}
-			}
-			return needIO
-		}
-		task.IOStage = func() {
-			for k, key := range keys {
-				if resolved[k] {
-					continue
-				}
-				burn(n.cfg.Clock, n.cfg.Cost.IOReadTime)
-				switch _, err := rep.db.TTL(key); {
-				case err == nil || errors.Is(err, lavastore.ErrNoTTL):
-					// exists
-				case errors.Is(err, lavastore.ErrNotFound):
-					vals[k].Err = ErrNotFound
-				default:
-					// Engine failure is not "absent" — surface it.
-					vals[k].Err = err
-				}
-			}
-		}
-		task.Abort = func(err error) {
-			if r.charged {
-				r.rep.limiter.Refund(r.cost)
-			}
-			out[r.idx].Err = err
-			wg.Done()
-		}
-		task.Done = wg.Done
-		r.task = task
-		runs = append(runs, r)
-	}
-	if len(runs) > 0 {
-		wg.Add(len(runs))
-		n.runMulti(ctx, runs, out, &wg)
-		wg.Wait()
-	}
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	for _, r := range runs {
-		o := &out[r.idx]
-		o.Latency = lat
-		if o.Err != nil {
-			continue
-		}
-		o.RU = r.cost
-		for k := range o.Values {
-			if o.Values[k].Err == nil {
-				r.ts.success.Inc()
+		n.containsStage(s, g.Keys)
+		return s, nil
+	})
+}
+
+func (n *Node) containsStage(s *stage, keys [][]byte) {
+	s.class = wfq.SmallRead
+	s.cost = s.est.EstimateHLenRU() * float64(len(keys))
+	s.iops = float64(len(keys))
+	s.vals = make([]BatchValue, len(keys))
+	prefix := cacheKeyPrefix(s.rep.id.Partition)
+	s.cpu = func() bool {
+		s.ru = s.cost
+		needIO := false
+		for k, key := range keys {
+			// The SA-LRU holds only TTL-free values.
+			if _, ok := n.cache.Get(prefix + string(key)); ok {
+				s.vals[k].CacheHit = true
+				s.ok++
 			} else {
-				r.ts.errors.Inc()
+				needIO = true
 			}
 		}
-		r.ts.ruUsed.Add(o.RU)
-		r.ts.latency.Observe(lat)
+		return needIO
 	}
-	return out
+	s.io = func() (d time.Duration) {
+		for k, key := range keys {
+			bv := &s.vals[k]
+			if bv.CacheHit {
+				continue
+			}
+			d += n.cfg.Cost.IOReadTime
+			ttl, err := s.rep.db.TTL(key)
+			switch {
+			case err == nil:
+				bv.ExpireAt = n.cfg.Clock.Now().Add(ttl).Unix()
+			case errors.Is(err, lavastore.ErrNoTTL):
+			case errors.Is(err, lavastore.ErrNotFound):
+				bv.Err = ErrNotFound
+			default:
+				// Engine failure is not "absent" — surface it.
+				bv.Err = err
+			}
+			if bv.Err != nil {
+				s.failed++
+			} else {
+				s.ok++
+			}
+		}
+		return d
+	}
 }
 
 // BatchGet reads a sub-batch of keys that all live in pid — the

@@ -169,26 +169,22 @@ func (c Config) withDefaults() Config {
 
 // Replicator propagates writes to follower replicas on other nodes.
 // Implementations must not block the caller for long; ABase replication
-// is asynchronous (eventual consistency). pos is the primary's
-// replication position after this write (after the batch's last op for
-// ReplicateBatch): followers adopt it monotonically, which keeps
-// positions comparable across replicas — a rebuilt follower does not
-// restart from zero and a long-dead one cannot look fresher than it is.
+// is asynchronous (eventual consistency).
 type Replicator interface {
-	Replicate(rid partition.ReplicaID, key, value []byte, ttl time.Duration, delete bool, pos uint64)
-	// ReplicateBatch propagates a group-committed sub-batch as one
-	// replication message per follower instead of one per key.
-	ReplicateBatch(rid partition.ReplicaID, ops []WriteOp, pos uint64)
+	// Replicate propagates ops, committed on the primary at the
+	// contiguous sequence range ending at pos, as one replication
+	// message per follower; a single write is a batch of one. Followers
+	// adopt pos monotonically, which keeps positions comparable across
+	// replicas — a rebuilt follower does not restart from zero and a
+	// long-dead one cannot look fresher than it is.
+	Replicate(rid partition.ReplicaID, ops []WriteOp, pos uint64)
 }
 
 // NopReplicator discards replication traffic (single-node tests).
 type NopReplicator struct{}
 
 // Replicate implements Replicator.
-func (NopReplicator) Replicate(partition.ReplicaID, []byte, []byte, time.Duration, bool, uint64) {}
-
-// ReplicateBatch implements Replicator.
-func (NopReplicator) ReplicateBatch(partition.ReplicaID, []WriteOp, uint64) {}
+func (NopReplicator) Replicate(partition.ReplicaID, []WriteOp, uint64) {}
 
 // replica is one hosted partition replica.
 // ruLedger is the cumulative quota charge/refund total retained for a
@@ -227,6 +223,8 @@ type replica struct {
 	watchN   int
 	holdMu   sync.Mutex
 	holds    map[string]changeHold
+	// stripes serialize primary commits per key (see stripeOf).
+	stripes [keyStripes]sync.Mutex
 }
 
 // isPrimary reports whether this replica currently serves writes.
@@ -300,8 +298,10 @@ type Node struct {
 	shedTotal metrics.Counter
 
 	// beforeFill, when set by a test, runs in a read's I/O stage
-	// between the engine read and the SA-LRU fill.
-	beforeFill func()
+	// between the engine read and the SA-LRU fill; afterCommit runs
+	// between an engine commit and its SA-LRU update.
+	beforeFill  func()
+	afterCommit func()
 }
 
 // New starts a DataNode.

@@ -164,11 +164,11 @@ func TestReplicationFabric(t *testing.T) {
 	primary.AddReplica(rid("t1", 0, 0), 1000, true)
 	follower.AddReplica(rid("t1", 0, 1), 1000, false)
 	var wg sync.WaitGroup
-	primary.SetReplicator(replFunc(func(r partition.ReplicaID, key, value []byte, ttl time.Duration, del bool) {
+	primary.SetReplicator(replFunc(func(r partition.ReplicaID, ops []WriteOp, pos uint64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			follower.ApplyReplicated(r.Partition, key, value, ttl, del)
+			follower.ApplyReplicated(r.Partition, pos, ops)
 		}()
 	}))
 	primary.Put(bg, pid("t1", 0), []byte("k"), []byte("v"), 0)
@@ -179,17 +179,9 @@ func TestReplicationFabric(t *testing.T) {
 	}
 }
 
-type replFunc func(partition.ReplicaID, []byte, []byte, time.Duration, bool)
+type replFunc func(partition.ReplicaID, []WriteOp, uint64)
 
-func (f replFunc) Replicate(r partition.ReplicaID, k, v []byte, ttl time.Duration, del bool, _ uint64) {
-	f(r, k, v, ttl, del)
-}
-
-func (f replFunc) ReplicateBatch(r partition.ReplicaID, ops []WriteOp, _ uint64) {
-	for _, op := range ops {
-		f(r, op.Key, op.Value, op.TTL, op.Delete)
-	}
-}
+func (f replFunc) Replicate(r partition.ReplicaID, ops []WriteOp, pos uint64) { f(r, ops, pos) }
 
 func TestTTLWrites(t *testing.T) {
 	n := newTestNode(t, Config{})

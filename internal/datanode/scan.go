@@ -2,7 +2,6 @@ package datanode
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"abase/internal/lavastore"
@@ -48,126 +47,45 @@ type ScanResult struct {
 // bypass the SA-LRU (a range traversal would only churn it), so the
 // CPU stage always proceeds to the I/O layer.
 func (n *Node) RangeScan(ctx context.Context, pid partition.ID, opts ScanOptions) (ScanResult, error) {
-	rep, err := n.getReplica(pid)
-	if err != nil {
-		return ScanResult{}, err
-	}
 	if opts.Limit <= 0 {
 		opts.Limit = lavastore.DefaultScanLimit
 	}
-	ts, est := n.tenantState(pid.Tenant)
-	if err := ctx.Err(); err != nil {
+	ios := 1 + float64(opts.Limit)/scanEntriesPerIO
+	// Scans heat the partition in IO-equivalent units per page but mark
+	// no individual key hot: a range traversal says nothing about
+	// per-key popularity.
+	s, err := n.open(ctx, pid, false, 0, func(r *replica) { r.heat.Add(ios) })
+	if err != nil {
 		return ScanResult{}, err
 	}
-	// Scans heat the partition (IO-equivalent units per page, counted
-	// before admission — including the deadline shed — so the control
-	// plane sees offered load) but mark no individual key hot: a range
-	// traversal says nothing about per-key popularity.
-	rep.heat.Add(1 + float64(opts.Limit)/scanEntriesPerIO)
-	if err := n.admitCtx(ctx, ts); err != nil {
-		return ScanResult{}, err
-	}
-	estimate := est.EstimateScanRU(opts.Limit)
-
-	start := n.cfg.Clock.Now()
-	type outcome struct {
-		page lavastore.ScanPage
-		err  error
-	}
-	var out outcome
-	done := make(chan struct{})
-	finish := func(o outcome) {
-		out = o
-		close(done)
-	}
-	var res outcome
-	task := &wfq.Task{
-		Tenant:     pid.Tenant,
-		Partition:  pid.String(),
-		Class:      wfq.LargeRead,
-		RUCost:     estimate,
-		IOPSCost:   1 + float64(opts.Limit)/scanEntriesPerIO,
-		QuotaShare: n.quotaShare(rep),
-		Ctx:        ctx,
-	}
-	// See Get (ops.go): a charge whose task never executes is returned.
-	var quotaCharged bool
-	task.Abort = func(err error) {
-		if quotaCharged {
-			rep.limiter.Refund(estimate)
-		}
-		finish(outcome{err: err})
-	}
-	task.CPUStage = func() bool {
-		burn(n.cfg.Clock, n.cfg.Cost.CPUTime)
-		return true // scans never resolve from the node cache
-	}
-	task.IOStage = func() {
-		scan := rep.db.ScanRange
+	s.class, s.cost, s.iops = wfq.LargeRead, s.est.EstimateScanRU(opts.Limit), ios
+	var page lavastore.ScanPage
+	s.io = func() time.Duration {
+		scan := s.rep.db.ScanRange
 		if opts.KeysOnly {
 			// Value-free variant: no value bytes are copied, billing
 			// unchanged (the engine read the records either way).
-			scan = rep.db.ScanRangeKeys
+			scan = s.rep.db.ScanRangeKeys
 		}
-		page, err := scan(opts.Start, nil, opts.Limit)
+		var err error
+		if page, err = scan(opts.Start, nil, opts.Limit); err != nil {
+			s.err = err
+		} else {
+			s.ru, s.ok = ru.ScanRU(int(page.Bytes), page.Examined), 1
+		}
 		// Sequential reads amortize across the sparse-index granularity:
 		// one simulated disk read covers a block of examined records.
-		reads := 1 + page.Examined/scanEntriesPerIO
-		burn(n.cfg.Clock, time.Duration(reads)*n.cfg.Cost.IOReadTime)
-		if err != nil {
-			res = outcome{err: err}
-			return
-		}
-		res = outcome{page: page}
+		return time.Duration(1+page.Examined/scanEntriesPerIO) * n.cfg.Cost.IOReadTime
 	}
-	task.Done = func() { finish(res) }
-
-	queued := n.admit.submit(func() {
-		if err := ctx.Err(); err != nil {
-			finish(outcome{err: err})
-			return
-		}
-		burn(n.cfg.Clock, n.cfg.AdmitCost)
-		if n.quotaOn.Load() {
-			if !rep.limiter.Allow(estimate) {
-				burn(n.cfg.Clock, n.cfg.RejectCost)
-				ts.throttled.Inc()
-				finish(outcome{err: ErrThrottled})
-				return
-			}
-			quotaCharged = true
-		}
-		if !n.sched.Submit(task) {
-			if quotaCharged {
-				rep.limiter.Refund(estimate)
-			}
-			finish(outcome{err: errors.New("datanode: scheduler closed")})
-		}
-	})
-	if !queued {
-		ts.errors.Inc()
-		return ScanResult{}, ErrOverloaded
+	lat := n.exec(ctx, s)
+	if s.err != nil {
+		return ScanResult{Latency: lat}, s.err
 	}
-	<-done
-
-	lat := n.cfg.Clock.Since(start)
-	n.observeServiceTime(lat)
-	if out.err != nil {
-		if errors.Is(out.err, ErrThrottled) || isCtxErr(out.err) {
-			return ScanResult{Latency: lat}, out.err // counted as throttled already
-		}
-		ts.errors.Inc()
-		return ScanResult{Latency: lat}, out.err
-	}
-	charged := ru.ScanRU(int(out.page.Bytes), out.page.Examined)
-	ts.success.Inc()
-	ts.ruUsed.Add(charged)
-	ts.latency.Observe(lat)
 	return ScanResult{
-		Entries:  out.page.Entries,
-		NextKey:  out.page.NextKey,
-		Examined: out.page.Examined,
-		RU:       charged,
+		Entries:  page.Entries,
+		NextKey:  page.NextKey,
+		Examined: page.Examined,
+		RU:       s.ru,
 		Latency:  lat,
 	}, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"abase/internal/datanode"
@@ -111,26 +112,33 @@ func BatchComparison(opts BatchOpts) ([]BatchPoint, Table) {
 	}
 	fleet.BatchGet(bg, keys)
 
-	const passes = 4
+	// Each size runs an odd number of trials, each timing the looped
+	// pass and then the batched one, and reports the trial with the
+	// median speedup: one scheduling hiccup on a busy host then skews a
+	// single trial, not the reported point.
+	const passes, trials = 4, 3
 	for _, size := range opts.Sizes {
 		rounds := opts.Keys / size
-		start := clk.Now()
-		for p := 0; p < passes; p++ {
-			for r := 0; r < rounds; r++ {
+		pass := func(read func(r int)) float64 {
+			start := clk.Now()
+			for p := 0; p < passes; p++ {
+				for r := 0; r < rounds; r++ {
+					read(r)
+				}
+			}
+			return float64(passes*rounds*size) / clk.Since(start).Seconds()
+		}
+		var runs [trials][2]float64 // looped, batched keys/s
+		for i := range runs {
+			runs[i][0] = pass(func(r int) {
 				for _, k := range keys[r*size : (r+1)*size] {
 					fleet.Get(bg, k)
 				}
-			}
+			})
+			runs[i][1] = pass(func(r int) { fleet.BatchGet(bg, keys[r*size:(r+1)*size]) })
 		}
-		looped := float64(passes*rounds*size) / clk.Since(start).Seconds()
-
-		start = clk.Now()
-		for p := 0; p < passes; p++ {
-			for r := 0; r < rounds; r++ {
-				fleet.BatchGet(bg, keys[r*size:(r+1)*size])
-			}
-		}
-		batched := float64(passes*rounds*size) / clk.Since(start).Seconds()
+		sort.Slice(runs[:], func(i, j int) bool { return runs[i][1]/runs[i][0] < runs[j][1]/runs[j][0] })
+		looped, batched := runs[trials/2][0], runs[trials/2][1]
 
 		pt := BatchPoint{BatchSize: size, LoopedOps: looped, BatchedOps: batched, Speedup: batched / looped}
 		points = append(points, pt)

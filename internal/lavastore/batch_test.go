@@ -69,17 +69,48 @@ func TestWriteBatchRecovery(t *testing.T) {
 
 // TestOverwriteWorkloadRotatesWAL: rewriting the same keys keeps the
 // memtable small, but the WAL must still rotate (bounding log size and
-// crash-recovery replay time).
+// crash-recovery replay time). Without a retention floor the log is
+// re-logged down to the memtable's records, with no flush and no
+// SSTable; with one, the history must survive, so a flush rotates it.
 func TestOverwriteWorkloadRotatesWAL(t *testing.T) {
-	db := openMem(t, Options{MemtableBytes: 4 << 10})
+	const memtable = 4 << 10
 	value := bytes.Repeat([]byte("x"), 512)
-	for i := 0; i < 200; i++ {
-		if err := db.Put([]byte("hot"), value, 0); err != nil {
-			t.Fatal(err)
+	overwrite := func(db *DB) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if err := db.Put([]byte("hot"), value, 0); err != nil {
+				t.Fatal(err)
+			}
+			if db.walBytes >= 4*memtable {
+				t.Fatalf("live WAL reached %d bytes", db.walBytes)
+			}
 		}
 	}
-	if db.Stats().Flushes == 0 {
-		t.Fatal("overwrite-only workload never rotated the WAL")
+
+	fs := NewMemFS()
+	db := openMem(t, Options{FS: fs, Dir: "d", MemtableBytes: memtable})
+	overwrite(db)
+	if st := db.Stats(); st.Flushes != 0 || db.walBytes >= memtable {
+		t.Fatalf("re-logged WAL: %d flushes, %d live WAL bytes", st.Flushes, db.walBytes)
+	}
+	// A crash now recovers the newest value from the re-logged WAL.
+	db2, err := Open(Options{FS: fs, Dir: "d", MemtableBytes: memtable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got, err := db2.Get([]byte("hot")); err != nil || !bytes.Equal(got.Value, value) {
+		t.Fatalf("hot after recovery = %d bytes, %v", len(got.Value), err)
+	}
+
+	held := openMem(t, Options{MemtableBytes: memtable})
+	held.SetHistoryRetention(0)
+	overwrite(held)
+	if held.Stats().Flushes == 0 {
+		t.Fatal("overwrite-only workload under a retention floor never rotated the WAL")
+	}
+	if _, err := held.Replay(1, 200); err != nil {
+		t.Fatalf("retained history: %v", err)
 	}
 }
 

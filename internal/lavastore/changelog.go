@@ -233,6 +233,7 @@ func (db *DB) ApplyAt(key, value []byte, ttl time.Duration, del bool, seq uint64
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
 	}
+	db.relogLocked()
 	needFlush := db.needFlushLocked()
 	db.mu.Unlock()
 	if needFlush {
@@ -305,6 +306,7 @@ func (db *DB) ApplyBatchAt(ops []BatchOp, last uint64) error {
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
 	}
+	db.relogLocked()
 	needFlush := db.needFlushLocked()
 	db.mu.Unlock()
 	if needFlush {

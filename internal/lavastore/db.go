@@ -327,6 +327,7 @@ func (db *DB) write(key []byte, r record, ttl time.Duration) (uint64, error) {
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
 	}
+	db.relogLocked()
 	needFlush := db.needFlushLocked()
 	db.mu.Unlock()
 	if needFlush {
@@ -413,6 +414,7 @@ func (db *DB) writeBatch(ops []BatchOp) (uint64, error) {
 	if fn := db.notify; fn != nil {
 		fn(db.seq)
 	}
+	db.relogLocked()
 	needFlush := db.needFlushLocked()
 	db.mu.Unlock()
 	if needFlush {
@@ -421,11 +423,58 @@ func (db *DB) writeBatch(ops []BatchOp) (uint64, error) {
 	return last, nil
 }
 
+// relogLocked bounds the live WAL of an overwrite-heavy memtable
+// without flushing it. Rewriting the same keys keeps the memtable small
+// while the log keeps every superseded version; once the log is at
+// least MemtableBytes and twice the memtable, it is replaced by a fresh
+// log holding only the memtable's records — the newest version of each
+// key, as Open re-logs after recovery. A flush would bound the log too,
+// but would move the superseded versions into SSTables until the next
+// compaction. It runs only without a retention floor: no Replay needs
+// the dropped versions, so the history floor moves past them, as when
+// rotation deletes a flushed segment. On any failure the old log, which
+// still holds everything, stays live.
+// +locked:db.mu
+func (db *DB) relogLocked() {
+	if db.retain != noRetention || db.walBytes < db.opt.MemtableBytes || db.walBytes < 2*db.mem.Bytes() {
+		return
+	}
+	name := fmt.Sprintf("%06d.wal", db.nextFile)
+	f, err := db.opt.FS.Create(db.filePath(name))
+	if err != nil {
+		return
+	}
+	w := newWALWriter(f)
+	var size int64
+	it := db.mem.NewIterator()
+	for err == nil && it.Next() {
+		err = w.Append(it.Key(), it.Value())
+		size += int64(len(it.Key()) + len(it.Value()) + 16)
+	}
+	if err == nil {
+		// The old log goes next, so the new one must be durable first.
+		err = w.Sync()
+	}
+	if err != nil {
+		w.Close()
+		db.opt.FS.Remove(db.filePath(name))
+		return
+	}
+	db.nextFile++
+	db.wal.Close()
+	db.opt.FS.Remove(db.filePath(db.walName))
+	db.wal, db.walName, db.walBytes = w, name, size
+	db.liveLo = db.seq + 1
+	if db.histLo < db.liveLo {
+		db.histLo = db.liveLo
+	}
+}
+
 // needFlushLocked reports whether the memtable should be flushed: it is
 // full, or the live WAL has outgrown it. The WAL bound matters for
-// overwrite-heavy workloads — rewriting the same keys keeps the
-// memtable small while the log (and with it crash-recovery replay
-// time) grows without limit.
+// overwrite-heavy workloads while a retention floor keeps relogLocked
+// off — rewriting the same keys keeps the memtable small while the log
+// (and with it crash-recovery replay time) grows without limit.
 // +locked:db.mu
 func (db *DB) needFlushLocked() bool {
 	return db.mem.Bytes() >= db.opt.MemtableBytes ||

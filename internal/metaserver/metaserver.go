@@ -93,15 +93,10 @@ type Meta struct {
 type replJob struct {
 	node *datanode.Node
 	pid  partition.ID
-	key  []byte
-	val  []byte
-	ttl  time.Duration
-	del  bool
-	// ops, when non-nil, is a group-committed sub-batch replacing the
-	// single key/val fields.
+	// ops is the committed batch (one op for a single write); pos is the
+	// primary's replication position after its last op, which
+	// followers adopt monotonically.
 	ops []datanode.WriteOp
-	// pos is the primary's replication position after this write (after
-	// the last op for batches); followers adopt it monotonically.
 	pos uint64
 }
 
@@ -189,11 +184,7 @@ func (m *Meta) replWorker(jobs <-chan replJob) {
 	for job := range jobs {
 		// Best effort: eventual consistency tolerates transient errors
 		// (a down follower drops its deltas; repair rebuilds it).
-		if job.ops != nil {
-			_ = job.node.ApplyReplicatedBatchAt(job.pid, job.pos, job.ops)
-		} else {
-			_ = job.node.ApplyReplicatedAt(job.pid, job.pos, job.key, job.val, job.ttl, job.del)
-		}
+		_ = job.node.ApplyReplicated(job.pid, job.pos, job.ops)
 		m.donePending()
 	}
 }
@@ -273,24 +264,10 @@ func (r *metaReplicator) followers(pid partition.ID) (targets []*datanode.Node, 
 	return targets, m.closed
 }
 
-// Replicate implements datanode.Replicator.
-func (r *metaReplicator) Replicate(rid partition.ReplicaID, key, value []byte, ttl time.Duration, del bool, pos uint64) {
-	targets, closed := r.followers(rid.Partition)
-	if closed || len(targets) == 0 {
-		return
-	}
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	r.meta.addPending(len(targets))
-	for _, n := range targets {
-		r.meta.replLane(rid.Partition, n.ID()) <- replJob{node: n, pid: rid.Partition, key: k, val: v, ttl: ttl, del: del, pos: pos}
-	}
-}
-
-// ReplicateBatch implements datanode.Replicator: the whole sub-batch
-// travels as one replication message per follower and is applied there
-// as one group commit.
-func (r *metaReplicator) ReplicateBatch(rid partition.ReplicaID, ops []datanode.WriteOp, pos uint64) {
+// Replicate implements datanode.Replicator: the batch travels as one
+// replication message per follower and is applied there as one group
+// commit.
+func (r *metaReplicator) Replicate(rid partition.ReplicaID, ops []datanode.WriteOp, pos uint64) {
 	targets, closed := r.followers(rid.Partition)
 	if closed || len(targets) == 0 {
 		return

@@ -791,11 +791,18 @@ func (f *Fleet) ResetStats() {
 	}
 }
 
-// TTL returns key's remaining time-to-live; hasTTL is false for keys
-// stored without an expiry.
+// TTL returns key's remaining time-to-live through the proxy quota;
+// hasTTL is false for keys stored without an expiry. The node answers
+// from record metadata, so admission charges a metadata lookup (as
+// EXISTS does).
 func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
+	}
+	cost := p.est.EstimateHLenRU()
+	if p.cfg.EnableQuota && !p.limiter.Allow(cost) {
+		p.rejected.Inc()
+		return 0, false, ErrThrottled
 	}
 	var found bool
 	err = p.withRoute(ctx, key, func(node *datanode.Node, route partition.Route) error {
@@ -805,9 +812,10 @@ func (p *Proxy) TTL(ctx context.Context, key []byte) (ttl time.Duration, hasTTL 
 	})
 	if err != nil {
 		if errors.Is(err, datanode.ErrNotFound) {
-			return 0, false, ErrNotFound
+			// The node performed the lookup; the attempt is billed.
+			return 0, false, ErrNotFound // ru:final
 		}
-		p.noteFailure(err)
+		p.refundFailure(cost, err)
 		return 0, false, err
 	}
 	p.success.Inc()

@@ -352,8 +352,8 @@ func TestProxyHotKeysAggregation(t *testing.T) {
 }
 
 // TestHSetMultiOneRoundTrip: a multi-field HSET must cost one DataNode
-// read-modify-write (2 node ops) regardless of how many pairs the
-// command carries — not one round trip per pair.
+// read-modify-write (one Update, a single node op) regardless of how
+// many pairs the command carries — not one round trip per pair.
 func TestHSetMultiOneRoundTrip(t *testing.T) {
 	m, p := newStack(t, 1e9, func(c *Config) { c.EnableCache = false })
 	key := []byte("h")
@@ -380,11 +380,45 @@ func TestHSetMultiOneRoundTrip(t *testing.T) {
 		n, _ := m.Node(nid)
 		opsAfter += n.TenantStats("t1").Success
 	}
-	if got := opsAfter - opsBefore; got != 2 {
-		t.Fatalf("node ops for 6-field HSET = %d, want 2 (one Get + one Put)", got)
+	if got := opsAfter - opsBefore; got != 1 {
+		t.Fatalf("node ops for 6-field HSET = %d, want 1 (one Update)", got)
 	}
 	all, err := p.HGetAll(bg, key)
 	if err != nil || len(all) != 7 { // 6 + seed
 		t.Fatalf("HGetAll = %d fields, %v", len(all), err)
+	}
+}
+
+// TestProxyTTLCharged: TTL is admitted through the proxy quota like
+// EXISTS, and the DataNode bills the metadata lookup it performs.
+func TestProxyTTLCharged(t *testing.T) {
+	_, tight := newStack(t, 1e9, func(c *Config) { c.ProxyQuota = 0.01 })
+	if err := tight.Put(bg, []byte("k"), []byte("v"), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tight.TTL(bg, []byte("k")); !errors.Is(err, ErrThrottled) {
+		t.Fatalf("TTL over the proxy quota: %v, want ErrThrottled", err)
+	}
+	if tight.Stats().Rejected != 1 {
+		t.Fatalf("throttled TTL not counted: %+v", tight.Stats())
+	}
+
+	m, p := newStack(t, 1e9, nil)
+	if err := p.Put(bg, []byte("k"), []byte("v"), time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	nodeRU := func() (sum float64) {
+		for _, id := range m.Nodes() {
+			n, _ := m.Node(id)
+			sum += n.TenantStats("t1").RUUsed
+		}
+		return sum
+	}
+	before := nodeRU()
+	if ttl, hasTTL, err := p.TTL(bg, []byte("k")); err != nil || !hasTTL || ttl <= 0 {
+		t.Fatalf("TTL = %v, %v, %v", ttl, hasTTL, err)
+	}
+	if got := nodeRU() - before; got <= 0 {
+		t.Fatalf("TTL billed %v RU on the data plane, want the metadata lookup", got)
 	}
 }
